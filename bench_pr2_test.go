@@ -83,3 +83,36 @@ func BenchmarkPR2_ServeRecommendMemoTelemetry(b *testing.B) {
 		engine.RecommendTags(ctx, 0, 1, 5)
 	}
 }
+
+// BenchmarkServeClick measures one full user click turn on a frozen model:
+// history update, memo-miss re-recommendation over the tenant's catalog, and
+// the BM25 predicted questions for the session's clicked-tag query, which are
+// scored from the version's pre-scanned phrase terms. The loop replays the
+// held-out sessions click by click and ends each session after its last
+// click, so the query grows and resets as it does in traffic.
+func BenchmarkServeClick(b *testing.B) {
+	train, _, test := benchWorld.SplitSessions(0.8, 0.1)
+	catalog, index := serving.BuildCatalog(benchWorld, train)
+	m := newBenchIntelliTag()
+	m.Freeze()
+	engine := serving.NewEngine(catalog, index, m, nil, nil)
+	type click struct {
+		tenant, session, tag int
+		last                 bool
+	}
+	var clicks []click
+	for i, s := range test {
+		for j, tag := range s.Clicks {
+			clicks = append(clicks, click{s.Tenant, i, tag, j == len(s.Clicks)-1})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := clicks[i%len(clicks)]
+		engine.Click(ctx, c.tenant, c.session, c.tag, 5)
+		if c.last {
+			engine.EndSession(c.session)
+		}
+	}
+}

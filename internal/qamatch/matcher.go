@@ -9,6 +9,8 @@
 package qamatch
 
 import (
+	"sync"
+
 	"intellitag/internal/mat"
 	"intellitag/internal/nn"
 	"intellitag/internal/textproc"
@@ -39,6 +41,10 @@ type Matcher struct {
 	enc *nn.Encoder
 
 	params *nn.Collector
+
+	// embedMu serializes Embed: the encoder's layers keep their forward
+	// buffers and train flag, so two inference passes may not overlap.
+	embedMu sync.Mutex
 }
 
 // NewMatcher builds a matcher over the vocabulary.
@@ -93,8 +99,12 @@ func (m *Matcher) encode(tokens []string) ([]float64, func(dVec []float64)) {
 	return vec, backward
 }
 
-// Embed returns the encoder's vector for a text (inference mode).
+// Embed returns the encoder's vector for a text (inference mode). It is safe
+// for concurrent use; concurrent calls run one at a time. Training must not
+// run concurrently with it.
 func (m *Matcher) Embed(text string) []float64 {
+	m.embedMu.Lock()
+	defer m.embedMu.Unlock()
 	m.SetTrain(false)
 	v, _ := m.encode(textproc.Tokenize(text))
 	return v
@@ -148,7 +158,9 @@ func (m *Matcher) BuildIndex(ids []int, texts []string) *Index {
 }
 
 // Best returns the id of the best-matching candidate among the given subset
-// (nil subset means all indexed candidates) and its score.
+// (nil subset means all indexed candidates) and its score. It is safe for
+// concurrent use: the question's embedding is serialized inside Embed, and
+// the candidate table is read-only.
 func (ix *Index) Best(question string, subset map[int]bool) (int, float64) {
 	q := ix.m.Embed(question)
 	best, bestScore := -1, 0.0

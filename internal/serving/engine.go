@@ -10,7 +10,6 @@ package serving
 import (
 	"context"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,11 +65,13 @@ const sessionShardCount = 16
 // recEntry is a memoized RecommendTags result for one session. The serving
 // inputs are the session history plus the active version's catalog and
 // scorer, so the ranked list only changes when the history mutates or the
-// model version flips; the entry records the version it was computed on and
-// a hit requires an exact version match, which is what makes a hot swap
-// invalidate every memo without touching the shards.
+// model version flips; the entry records the generation of the version it
+// was computed on and a hit requires an exact generation match, which is
+// what makes a hot swap invalidate every memo without touching the shards.
+// The entry holds the generation number, not the version, so sessions that
+// outlive a swap do not keep the retired version's scorers and index alive.
 type recEntry struct {
-	ver       *modelVersion
+	gen       uint64
 	tenant, k int
 	recs      []ScoredTag
 }
@@ -270,7 +271,7 @@ func (e *Engine) recommendTags(ctx context.Context, v *modelVersion, tenant, ses
 		ver     uint64
 		history []int
 	)
-	if c, ok := sh.recs[session]; ok && c.ver == v && c.tenant == tenant && c.k == k {
+	if c, ok := sh.recs[session]; ok && c.gen == v.gen && c.tenant == tenant && c.k == k {
 		hit = true
 		memo = append([]ScoredTag(nil), c.recs...)
 	} else {
@@ -325,11 +326,11 @@ func (e *Engine) recommendTags(ctx context.Context, v *modelVersion, tenant, ses
 	}
 	// Store only if no history in this shard mutated while we scored — a
 	// concurrent Click may have invalidated the entry we are about to write.
-	// The entry remembers its version, so a memo computed on a retired
-	// version can never answer a request on the new one.
+	// The entry remembers its version's generation, so a memo computed on a
+	// retired version can never answer a request on the new one.
 	sh.mu.Lock()
 	if sh.ver == ver {
-		sh.recs[session] = recEntry{ver: v, tenant: tenant, k: k, recs: append([]ScoredTag(nil), out...)}
+		sh.recs[session] = recEntry{gen: v.gen, tenant: tenant, k: k, recs: append([]ScoredTag(nil), out...)}
 	}
 	sh.mu.Unlock()
 	return out
@@ -361,41 +362,23 @@ func (e *Engine) Click(ctx context.Context, tenant, session, tag, k int) ([]Scor
 
 	recs := e.recommendTags(ctx, v, tenant, session, k)
 
-	// Query = concatenated phrases of all clicked tags in the session.
-	var parts []string
-	for _, t := range history {
-		parts = append(parts, v.catalog.TagPhrases[t])
-	}
-	questions := e.predictQuestions(ctx, v, tenant, strings.Join(parts, " "), k)
+	// Query = concatenated phrases of all clicked tags in the session, taken
+	// from the version's pre-scanned phrase terms.
+	_, pspan := e.startSpan(ctx, "predict")
+	questions := v.questions(v.predict(history, tenant, k))
+	pspan.End()
 	return recs, questions
 }
 
 // PredictQuestions retrieves the best-matching RQs for a query within a
-// tenant.
+// tenant. Click's predicted questions are PredictQuestions of the session's
+// clicked-tag phrases joined by spaces.
 func (e *Engine) PredictQuestions(ctx context.Context, tenant int, query string, k int) []PredictedQuestion {
 	v := e.acquire()
 	defer e.release(v)
-	return e.predictQuestions(ctx, v, tenant, query, k)
-}
-
-func (e *Engine) predictQuestions(ctx context.Context, v *modelVersion, tenant int, query string, k int) []PredictedQuestion {
-	_, span := e.startSpan(ctx, "retrieve")
+	_, span := e.startSpan(ctx, "predict")
 	defer span.End()
-	hits := v.index.Search(query, tenant, k)
-	out := make([]PredictedQuestion, 0, len(hits))
-	for _, h := range hits {
-		doc, ok := v.index.Get(h.ID)
-		if !ok {
-			continue
-		}
-		out = append(out, PredictedQuestion{
-			RQ:       h.ID,
-			Question: doc.Text,
-			Answer:   v.catalog.RQAnswers[h.ID],
-			Score:    h.Score,
-		})
-	}
-	return out
+	return v.questions(v.index.Search(query, tenant, k))
 }
 
 // SetMatcher installs a question matcher that reranks the Ask recall set
@@ -417,7 +400,7 @@ func (e *Engine) Ask(ctx context.Context, tenant, session int, question string) 
 	ctx, span := e.startSpan(ctx, "ask")
 	defer span.End()
 	const recallSize = 10
-	_, rspan := e.startSpan(ctx, "retrieve")
+	_, rspan := e.startSpan(ctx, "recall")
 	hits := v.index.Search(question, tenant, recallSize)
 	rspan.End()
 	if len(hits) == 0 {

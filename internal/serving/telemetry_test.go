@@ -84,7 +84,7 @@ func TestServerTelemetryRoundTrip(t *testing.T) {
 		t.Fatalf("got %d traces, want 3: %+v", len(traces.Traces), traces)
 	}
 	// Newest first: the click trace must show
-	// http.click -> click -> (recommend -> score, retrieve).
+	// http.click -> click -> (recommend -> score, predict).
 	clickTree := traces.Traces[0]
 	if clickTree.Name != "http.click" || len(clickTree.Children) != 1 {
 		t.Fatalf("click root wrong: %+v", clickTree)
@@ -93,7 +93,7 @@ func TestServerTelemetryRoundTrip(t *testing.T) {
 	if inner.Name != "click" || len(inner.Children) != 2 {
 		t.Fatalf("click span wrong: %+v", inner)
 	}
-	if inner.Children[0].Name != "recommend" || inner.Children[1].Name != "retrieve" {
+	if inner.Children[0].Name != "recommend" || inner.Children[1].Name != "predict" {
 		t.Fatalf("click children wrong: %+v", inner.Children)
 	}
 	if len(inner.Children[0].Children) != 1 || inner.Children[0].Children[0].Name != "score" {

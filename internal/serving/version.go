@@ -37,11 +37,16 @@ type ModelBundle struct {
 // exclusion for scorers whose forward passes cache intermediates.
 type modelVersion struct {
 	id      string
-	seq     int // numeric sequence for gauges; -1 when unversioned
+	seq     int    // numeric sequence for gauges; -1 when unversioned
+	gen     uint64 // process-unique construction number; keys the rec memos
 	catalog Catalog
 	index   *search.Index
 	scorer  Scorer
 	matcher QuestionMatcher
+
+	// phrases is the catalog's tag phrases as RQ-index term ids, the input
+	// of every click's predicted-question query.
+	phrases phraseTerms
 
 	// tags is the version's ANN candidate retriever, nil when retrieval is
 	// disabled or the scorer exposes no embedding table. Built before the
@@ -63,6 +68,10 @@ type modelVersion struct {
 	inflight atomic.Int64
 }
 
+// versionGen numbers model versions in construction order, so a version's
+// generation is never reused while the process lives.
+var versionGen atomic.Uint64
+
 // newModelVersion builds a version from a bundle with a workers-wide scorer
 // pool (<= 1 keeps a single-slot pool).
 func newModelVersion(b *ModelBundle, workers int) *modelVersion {
@@ -73,10 +82,12 @@ func newModelVersion(b *ModelBundle, workers int) *modelVersion {
 	v := &modelVersion{
 		id:      id,
 		seq:     snapshot.SeqOf(id),
+		gen:     versionGen.Add(1),
 		catalog: b.Catalog,
 		index:   b.Index,
 		scorer:  b.Scorer,
 		matcher: b.Matcher,
+		phrases: newPhraseTerms(b.Catalog.TagPhrases, b.Index),
 	}
 	v.resizePool(workers)
 	return v

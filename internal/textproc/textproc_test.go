@@ -2,8 +2,12 @@ package textproc
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 
 	"intellitag/internal/mat"
 )
@@ -31,6 +35,69 @@ func TestTokenizeUnicode(t *testing.T) {
 	got := Tokenize("支付宝 password")
 	if len(got) != 2 || got[0] != "支付宝" {
 		t.Fatalf("Tokenize unicode = %v", got)
+	}
+}
+
+// refTokenize is the tokenizer as it was before Scanner: lowercase the whole
+// text, then split it rune by rune. Scanner must reproduce it exactly.
+func refTokenize(s string) []string {
+	var tokens []string
+	var b strings.Builder
+	flush := func() {
+		if b.Len() > 0 {
+			tokens = append(tokens, b.String())
+			b.Reset()
+		}
+	}
+	for _, r := range strings.ToLower(s) {
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			b.WriteRune(r)
+		} else {
+			flush()
+		}
+	}
+	flush()
+	return tokens
+}
+
+// randomText draws a string mixing ASCII case, digits, punctuation,
+// non-ASCII letters and symbols, case-folding specials and invalid UTF-8.
+func randomText(g *rand.Rand) string {
+	pieces := []string{"How", "to", "CHANGE", "pass", "Word", "42", "x9", " ", "  ", "-", "?", ".", ",",
+		"支付宝", "Ünïcode", "ΣΑΣ", "İstanbul", "\u212a", "ǅ", "½", "٣", "\u00a0", "\ufffd", "\xff", "\xe4\xb8", "\xc3"}
+	var b strings.Builder
+	for n := g.Intn(12); n > 0; n-- {
+		b.WriteString(pieces[g.Intn(len(pieces))])
+		if g.Intn(3) == 0 {
+			b.WriteByte(byte(g.Intn(256)))
+		}
+	}
+	return b.String()
+}
+
+func TestTokenizeMatchesReference(t *testing.T) {
+	g := rand.New(rand.NewSource(7))
+	for i := 0; i < 5000; i++ {
+		s := randomText(g)
+		got, want := Tokenize(s), refTokenize(s)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, want %q", s, got, want)
+		}
+	}
+}
+
+func TestScannerZeroAllocs(t *testing.T) {
+	var sc Scanner
+	text := "How to CHANGE the Password of 支付宝 account 42?"
+	n := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		sc.Reset(text)
+		for sc.Next() {
+			n += len(sc.Token())
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Scanner allocates %.1f times per text, want 0", allocs)
 	}
 }
 

@@ -7,29 +7,61 @@ package textproc
 
 import (
 	"sort"
-	"strings"
 	"unicode"
+	"unicode/utf8"
 )
+
+// Scanner splits text into the package's word tokens without allocating per
+// token: it lowercases the text and treats any rune that is then neither a
+// letter nor a digit as a separator. Each token is written into a buffer the
+// scanner owns and reuses, so a caller that only looks tokens up (for
+// example in a map keyed by string, where m[string(b)] does not allocate)
+// scans a whole text allocation-free once the buffer has grown. It is the one
+// implementation of the tokenization rules; Tokenize wraps it. The zero
+// value is ready to use.
+type Scanner struct {
+	s   string
+	pos int
+	tok []byte
+}
+
+// Reset starts scanning s from its first byte.
+func (sc *Scanner) Reset(s string) {
+	sc.s, sc.pos, sc.tok = s, 0, sc.tok[:0]
+}
+
+// Next advances to the next token and reports whether there was one.
+func (sc *Scanner) Next() bool {
+	sc.tok = sc.tok[:0]
+	for sc.pos < len(sc.s) {
+		// An invalid byte decodes as utf8.RuneError, which is a separator,
+		// exactly as if the text had been lowercased with strings.ToLower
+		// (which replaces invalid bytes with U+FFFD) before splitting.
+		r, w := utf8.DecodeRuneInString(sc.s[sc.pos:])
+		sc.pos += w
+		r = unicode.ToLower(r)
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			sc.tok = utf8.AppendRune(sc.tok, r)
+		} else if len(sc.tok) > 0 {
+			return true
+		}
+	}
+	return len(sc.tok) > 0
+}
+
+// Token returns the current token. The bytes are valid until the next call
+// to Next or Reset.
+func (sc *Scanner) Token() []byte { return sc.tok }
 
 // Tokenize lowercases s and splits it into word tokens, treating any
 // non-letter/non-digit rune as a separator.
 func Tokenize(s string) []string {
 	var tokens []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			tokens = append(tokens, b.String())
-			b.Reset()
-		}
+	var sc Scanner
+	sc.Reset(s)
+	for sc.Next() {
+		tokens = append(tokens, string(sc.Token()))
 	}
-	for _, r := range strings.ToLower(s) {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			b.WriteRune(r)
-		} else {
-			flush()
-		}
-	}
-	flush()
 	return tokens
 }
 
